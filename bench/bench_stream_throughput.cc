@@ -14,6 +14,14 @@
 // enabled vs. disabled (obs::set_enabled), recording both rates and the
 // relative delta as JSON (FILE defaults to BENCH_obs.json). The CI gate
 // keeps the relaxed-atomic hot-path instrumentation honest.
+//
+// The default run ends with a windowed-advance regression guard: it times
+// advance_epoch at live sets of N and 4N tuples with the same tuples evicted
+// per epoch, and exits non-zero if the 4N/N time ratio exceeds 2. Window
+// eviction pops each shard's age list, so the ratio should sit near 1; a
+// full scan of the live set would put it near 4. A ratio within one run, so
+// the gate holds on any host.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -157,6 +165,94 @@ int run_metrics_overhead(const std::string& out_path) {
   return 0;
 }
 
+/// One engine held at a steady live set of `window * per_epoch` unique
+/// tuples: once the window is full, every advance evicts exactly one epoch's
+/// `per_epoch` tuples and one fresh batch replaces them. Incremental indexing
+/// is off, so the shards do not journal and an advance is the eviction
+/// itself rather than work on a journal that no snapshot ever drains.
+class WindowedEngine {
+ public:
+  WindowedEngine(std::size_t per_epoch, std::uint64_t window)
+      : per_epoch_(per_epoch),
+        engine_({.shards = 4, .window_epochs = window, .incremental_index = false}) {
+    for (std::uint64_t e = 0; e < window; ++e) {
+      if (e != 0) (void)engine_.advance_epoch();
+      (void)engine_.ingest(fresh_batch());
+    }
+  }
+
+  /// Times one advance (microseconds), then refills the window.
+  double timed_advance() {
+    auto batch = fresh_batch();
+    const auto t0 = Clock::now();
+    (void)engine_.advance_epoch();
+    const double us = std::chrono::duration<double, std::micro>(Clock::now() - t0).count();
+    (void)engine_.ingest(std::move(batch));
+    return us;
+  }
+
+  [[nodiscard]] std::size_t live() const { return engine_.live_tuples(); }
+
+ private:
+  core::Dataset fresh_batch() {
+    core::Dataset batch(per_epoch_);
+    for (auto& t : batch) {
+      const bgp::Asn peer = 1 + next_ % 61;  // (peer, next_ / 61) is unique per tuple
+      t.path = {peer, 100 + next_ / 61};
+      if (next_ % 3 == 0) {
+        t.comms = {bgp::CommunityValue::regular(static_cast<std::uint16_t>(peer), 1)};
+      }
+      ++next_;
+    }
+    return batch;
+  }
+
+  std::size_t per_epoch_;
+  std::uint32_t next_ = 0;
+  stream::StreamEngine engine_;
+};
+
+double median(std::vector<double> v) {
+  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2), v.end());
+  return v[v.size() / 2];
+}
+
+/// The windowed-advance regression guard (see the header note): median
+/// advance time at live sets N and 4N, the two engines advancing alternately
+/// so host noise and cache state hit both alike. Returns the exit code.
+int run_advance_guard() {
+  constexpr std::uint64_t kWindow = 50;  ///< As in the e2ebench live workloads.
+  constexpr int kTimed = 61;
+  constexpr double kMaxRatio = 2.0;
+  const auto live = std::max<std::size_t>(
+      kWindow, static_cast<std::size_t>(100000.0 * bench::scale_factor()));
+  const std::size_t per_epoch = live / kWindow;
+  WindowedEngine small(per_epoch, kWindow);
+  WindowedEngine large(per_epoch, 4 * kWindow);
+  std::vector<double> small_us;
+  std::vector<double> large_us;
+  for (int i = 0; i < kTimed; ++i) {
+    small_us.push_back(small.timed_advance());
+    large_us.push_back(large.timed_advance());
+  }
+  const double small_median = median(small_us);
+  const double large_median = median(large_us);
+  const double ratio = small_median > 0 ? large_median / small_median : 0.0;
+  char line[256];
+  std::snprintf(line, sizeof line,
+                "\nwindowed advance (%zu evicted/epoch): live %zu -> %.1f us, live %zu -> "
+                "%.1f us, ratio %.2f (gate <= %.1f)\n",
+                per_epoch, small.live(), small_median, large.live(), large_median, ratio,
+                kMaxRatio);
+  std::cout << line;
+  if (ratio > kMaxRatio) {
+    std::cerr << "error: advance_epoch time grows with the live set (ratio " << ratio
+              << " > " << kMaxRatio << "): window eviction is no longer O(evicted)\n";
+    return 1;
+  }
+  return 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -238,5 +334,5 @@ int main(int argc, char** argv) {
             << " ms, cached " << cached << " ms\n"
             << "(cached snapshots are shared handles; serial-vs-parallel sweep "
                "kernels are measured in bench_sweep)\n";
-  return 0;
+  return run_advance_guard();
 }

@@ -40,6 +40,9 @@ Metrics& metrics() {
             r.counter("bgpcu_stream_evicted_total", "Tuples aged out of the window"),
         .stream_epoch_advances =
             r.counter("bgpcu_stream_epoch_advances_total", "Epoch advances"),
+        .stream_advance_ns =
+            r.histogram("bgpcu_stream_advance_duration_ns",
+                        "Epoch advance (window eviction) latency in nanoseconds"),
         .stream_journal_deltas = r.counter("bgpcu_stream_journal_deltas_total",
                                            "Index deltas journaled by shards"),
         .stream_journal_dedups =

@@ -30,6 +30,7 @@ struct Metrics {
   Counter& stream_ingest_batches;
   Counter& stream_evicted;
   Counter& stream_epoch_advances;
+  Histogram& stream_advance_ns;
   Counter& stream_journal_deltas;
   Counter& stream_journal_dedups;
   Counter& stream_journal_overflows;

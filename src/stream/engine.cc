@@ -102,8 +102,10 @@ IngestStats StreamEngine::ingest(core::Dataset batch) {
 }
 
 Epoch StreamEngine::advance_epoch() {
+  auto& m = obs::metrics();
+  obs::StageTimer advance_span(m.stream_advance_ns);
   const std::unique_lock lock(engine_mutex_);
-  obs::metrics().stream_epoch_advances.add(1);
+  m.stream_epoch_advances.add(1);
   const Epoch next = epoch_.load(std::memory_order_relaxed) + 1;
   epoch_.store(next, std::memory_order_relaxed);
   if (config_.window_epochs != 0 && next >= config_.window_epochs) {

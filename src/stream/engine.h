@@ -142,6 +142,9 @@ class StreamEngine {
 
   /// Advances to the next epoch and evicts tuples that fell out of the
   /// window (no-op eviction when window_epochs == 0). Returns the new epoch.
+  /// Costs O(tuples evicted) under the exclusive engine lock: each shard pops
+  /// its age list from the oldest end (see stream/shard.h), so the live set
+  /// size does not enter. Timed into bgpcu_stream_advance_duration_ns.
   Epoch advance_epoch();
 
   [[nodiscard]] Epoch epoch() const;

@@ -1,5 +1,6 @@
 #include "stream/shard.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/wellknown.h"
@@ -83,6 +84,8 @@ void TupleShard::ingest_batch(std::vector<PreparedTuple>&& batch, Epoch epoch,
         ++stats.duplicates;
       } else {
         it->second.last_seen = epoch;
+        unlink(*it);
+        link(*it);
         ++stats.refreshed;
       }
       continue;
@@ -90,6 +93,7 @@ void TupleShard::ingest_batch(std::vector<PreparedTuple>&& batch, Epoch epoch,
     it->second.upper_mask = prepared.upper_mask;
     it->second.last_seen = epoch;
     it->second.key = next_key_;
+    link(*it);
     next_key_ += key_stride_;
     if (journal_enabled_) {
       journal_push({core::IndexDelta::Kind::kAdd, it->second.key, prepared.upper_mask,
@@ -113,18 +117,38 @@ void TupleShard::ingest_batch(std::vector<PreparedTuple>&& batch, Epoch epoch,
   if (const auto n = stats.duplicates - before.duplicates) m.stream_ingest_duplicate.add(n, lane_);
 }
 
+void TupleShard::link(Node& node) noexcept {
+  // Walk back from the newest end to the last node not newer than this one;
+  // monotone epochs stop at newest_ without stepping.
+  Node* older = newest_;
+  while (older != nullptr && older->second.last_seen > node.second.last_seen) {
+    older = older->second.older;
+  }
+  Node* newer = older != nullptr ? older->second.newer : oldest_;
+  node.second.older = older;
+  node.second.newer = newer;
+  (older != nullptr ? older->second.newer : oldest_) = &node;
+  (newer != nullptr ? newer->second.older : newest_) = &node;
+}
+
+void TupleShard::unlink(Node& node) noexcept {
+  auto& meta = node.second;
+  (meta.older != nullptr ? meta.older->second.newer : oldest_) = meta.newer;
+  (meta.newer != nullptr ? meta.newer->second.older : newest_) = meta.older;
+  meta.older = nullptr;
+  meta.newer = nullptr;
+}
+
 std::size_t TupleShard::evict_older_than(Epoch min_epoch) {
   const std::lock_guard lock(mutex_);
   std::size_t evicted = 0;
-  for (auto it = tuples_.begin(); it != tuples_.end();) {
-    if (it->second.last_seen >= min_epoch) {
-      ++it;
-      continue;
-    }
-    const auto live_it = live_.find(it->first.peer());
+  while (oldest_ != nullptr && oldest_->second.last_seen < min_epoch) {
+    Node& node = *oldest_;
+    unlink(node);
+    const auto live_it = live_.find(node.first.peer());
     if (live_it != live_.end()) {
       auto& k = live_it->second;
-      if ((it->second.upper_mask & 1u) != 0) {
+      if ((node.second.upper_mask & 1u) != 0) {
         --k.t;
       } else {
         --k.s;
@@ -132,9 +156,9 @@ std::size_t TupleShard::evict_older_than(Epoch min_epoch) {
       if ((k.t | k.s | k.f | k.c) == 0) live_.erase(live_it);
     }
     if (journal_enabled_) {
-      journal_push({core::IndexDelta::Kind::kRemove, it->second.key, 0, {}});
+      journal_push({core::IndexDelta::Kind::kRemove, node.second.key, 0, {}});
     }
-    it = tuples_.erase(it);
+    tuples_.erase(node.first);  // The list holds nodes, not iterators: erase by key.
     ++evicted;
   }
   if (evicted != 0) {
@@ -186,8 +210,8 @@ void TupleShard::export_live(std::vector<core::IndexDelta>& out) const {
 void TupleShard::export_tuples(std::vector<StoredTuple>& out) const {
   const std::lock_guard lock(mutex_);
   out.reserve(out.size() + tuples_.size());
-  for (const auto& [tuple, meta] : tuples_) {
-    out.push_back({tuple, meta.last_seen, meta.key});
+  for (const Node* node = oldest_; node != nullptr; node = node->second.newer) {
+    out.push_back({node->first, node->second.last_seen, node->second.key});
   }
 }
 
@@ -197,8 +221,17 @@ std::uint64_t TupleShard::next_key() const {
 }
 
 void TupleShard::restore_tuples(std::vector<StoredTuple> tuples, std::uint64_t next_key) {
+  const auto by_age = [](const StoredTuple& a, const StoredTuple& b) {
+    return a.last_seen < b.last_seen;
+  };
+  if (!std::is_sorted(tuples.begin(), tuples.end(), by_age)) {
+    std::sort(tuples.begin(), tuples.end(), by_age);
+  }
   const std::lock_guard lock(mutex_);
   tuples_.clear();
+  tuples_.reserve(tuples.size());
+  oldest_ = nullptr;
+  newest_ = nullptr;
   live_.clear();
   journal_.clear();
   cancelled_.clear();
@@ -216,6 +249,7 @@ void TupleShard::restore_tuples(std::vector<StoredTuple> tuples, std::uint64_t n
     it->second.upper_mask = view->upper_mask;
     it->second.last_seen = stored.last_seen;
     it->second.key = stored.key;
+    link(*it);  // Sorted input: always the O(1) newest-end case.
     auto& k = live_[peer];
     if ((view->upper_mask & 1u) != 0) {
       ++k.t;

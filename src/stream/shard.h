@@ -8,12 +8,22 @@
 // IncrementalIndex under the snapshot lock instead of rebuilding it. Each
 // shard carries its own mutex; cross-shard synchronization is the engine's
 // job.
+//
+// Window aging: the live tuples also sit on one intrusive doubly-linked list
+// ordered by last-seen epoch (oldest first), threaded through the hash-map
+// nodes, whose addresses are stable across rehash. An accept links at the
+// newest end and a refresh relinks there, both O(1) for the engine's
+// monotone epochs; evict_older_than pops from the oldest end, so an epoch
+// advance costs O(tuples evicted), not O(live tuples). The list costs two
+// pointers (16 B) per live tuple. Checkpoint export walks the list, so
+// checkpoints are written oldest-first and restore relinks them in O(1) each.
 #ifndef BGPCU_STREAM_SHARD_H
 #define BGPCU_STREAM_SHARD_H
 
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/classifier.h"
@@ -80,7 +90,9 @@ class TupleShard {
   explicit TupleShard(std::uint64_t first_key = 0, std::uint64_t key_stride = 1,
                       bool journal = true, std::size_t journal_cap = kJournalCap);
 
-  /// Offers one tuple (communities must already be normalized). Thread-safe.
+  /// Offers one tuple (communities must already be normalized). Any epoch is
+  /// accepted: one older than the shard's newest is linked at its sorted
+  /// place in the age list, walking back from the newest end. Thread-safe.
   IngestOutcome ingest(core::PathCommTuple&& tuple, Epoch epoch);
 
   /// Offers a pre-partitioned batch under one lock acquisition; outcome
@@ -88,6 +100,7 @@ class TupleShard {
   void ingest_batch(std::vector<PreparedTuple>&& batch, Epoch epoch, IngestStats& stats);
 
   /// Removes tuples last seen before `min_epoch`; returns how many died.
+  /// Pops from the oldest end of the age list: O(tuples evicted).
   std::size_t evict_older_than(Epoch min_epoch);
 
   /// Appends a view per live tuple to `out`. The views borrow the shard's
@@ -113,7 +126,8 @@ class TupleShard {
   /// from scratch after an overflow or apply failure. Thread-safe.
   void export_live(std::vector<core::IndexDelta>& out) const;
 
-  /// Appends one StoredTuple per live tuple (checkpoint export). Thread-safe.
+  /// Appends one StoredTuple per live tuple (checkpoint export), oldest
+  /// last-seen epoch first. Thread-safe.
   void export_tuples(std::vector<StoredTuple>& out) const;
 
   /// Next key this shard would assign (checkpoint export). Thread-safe.
@@ -122,7 +136,9 @@ class TupleShard {
   /// Replaces the shard's contents with a checkpointed tuple set: masks are
   /// recomputed, live peer-column counters rebuilt, journal state cleared
   /// (recovery rebuilds the index separately). Tuples whose paths no longer
-  /// pass preparation (corrupt state) are dropped. Thread-safe.
+  /// pass preparation (corrupt state) are dropped. Input not ordered by
+  /// last-seen epoch (checkpoints written before age-ordered export) is
+  /// sorted first; age-ordered input is linked as it is inserted. Thread-safe.
   void restore_tuples(std::vector<StoredTuple> tuples, std::uint64_t next_key);
 
   /// Live peer-column evidence for `asn` (t/s at path index 1); zero-valued
@@ -137,18 +153,34 @@ class TupleShard {
   [[nodiscard]] std::uint64_t version() const;
 
  private:
+  struct TupleMeta;
+  /// One hash-map node; the age list links these directly.
+  using Node = std::pair<const core::PathCommTuple, TupleMeta>;
+
   struct TupleMeta {
     std::uint32_t upper_mask = 0;
     Epoch last_seen = 0;
     std::uint64_t key = 0;  ///< Stable identity linking journal add/remove.
+    Node* older = nullptr;  ///< Age-list neighbours (see header note).
+    Node* newer = nullptr;
   };
 
   /// Appends to the journal unless journaling is off or overflowed; flips
   /// into the overflowed state at the cap. Caller holds mutex_.
   void journal_push(core::IndexDelta&& delta);
 
+  /// Links an unlinked node into the age list at its last_seen position:
+  /// O(1) at the newest end, a walk back for an out-of-order epoch. Caller
+  /// holds mutex_.
+  void link(Node& node) noexcept;
+
+  /// Removes a linked node from the age list. Caller holds mutex_.
+  void unlink(Node& node) noexcept;
+
   mutable std::mutex mutex_;
   std::unordered_map<core::PathCommTuple, TupleMeta> tuples_;
+  Node* oldest_ = nullptr;  ///< Age-list ends; null when tuples_ is empty.
+  Node* newest_ = nullptr;
   core::CounterMap live_;  ///< Peer-column t/s, one count per live tuple.
   std::uint64_t version_ = 0;
   std::uint64_t next_key_ = 0;
