@@ -4,25 +4,30 @@
 // concurrently by one poller-driven reader. Every tier re-checks that each
 // subscriber's stream is bit-identical to the published sequence — the
 // delivered-equals-published gate; any loss, duplication, or reorder is a
-// correctness failure, exit 1. The 1k tier also runs against the legacy
-// thread-per-connection server as the baseline the event-driven fan-out is
-// measured over (the full run gates on >= 5x; --smoke scales down for CI
-// and gates on correctness only). [--out FILE] records one JSON line
-// (default BENCH_fanout.json).
+// correctness failure, exit 1. The 1k tier also runs against a
+// thread-per-connection server kept in this file as the baseline the
+// event-driven fan-out is measured over (the full run gates on >= 5x;
+// --smoke scales down for CI and gates on correctness only). [--out FILE]
+// records one JSON line (default BENCH_fanout.json).
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/service.h"
@@ -67,6 +72,132 @@ std::size_t ensure_fd_budget(std::size_t want) {
   return static_cast<std::size_t>(rl.rlim_cur);
 }
 
+/// The thread-per-connection serving model the event loop replaced, kept
+/// here (as bench_sweep keeps its legacy kernel) as the baseline the >= 5x
+/// gate measures against. Per connection, a reader thread answers kHello
+/// and subscribes through Service::subscribe_encoded, and a writer thread
+/// drains a condvar-guarded queue of (per-subscription prefix, shared
+/// payload) frames with blocking write_all. It speaks only what this bench
+/// sends; queues are unbounded because every subscriber is drained.
+class ThreadPerConnectionServer {
+ public:
+  ThreadPerConnectionServer(api::Service& service,
+                            std::shared_ptr<net::LoopbackListener> listener)
+      : service_(service), listener_(std::move(listener)) {
+    accept_ = std::thread([this] {
+      while (auto link = listener_->accept()) {
+        auto& conn = *conns_.emplace_back(std::make_unique<Conn>(std::move(link)));
+        conn.reader = std::thread([this, &conn] { conn.read_loop(service_); });
+        conn.writer = std::thread([&conn] { conn.write_loop(); });
+      }
+    });
+  }
+
+  ~ThreadPerConnectionServer() { stop(); }
+
+  ThreadPerConnectionServer(const ThreadPerConnectionServer&) = delete;
+  ThreadPerConnectionServer& operator=(const ThreadPerConnectionServer&) = delete;
+
+  void stop() {
+    listener_->close();
+    if (accept_.joinable()) accept_.join();
+    for (auto& conn : conns_) conn->stop(service_);
+    conns_.clear();
+  }
+
+ private:
+  struct Conn {
+    explicit Conn(std::unique_ptr<net::Connection> l) : link(std::move(l)) {}
+
+    void enqueue(std::vector<std::uint8_t> head, api::EncodedEventPtr tail = nullptr) {
+      {
+        const std::lock_guard lock(mutex);
+        if (closed) return;
+        queue.emplace_back(std::move(head), std::move(tail));
+      }
+      cv.notify_one();
+    }
+
+    void close_queue() {
+      {
+        const std::lock_guard lock(mutex);
+        closed = true;
+      }
+      cv.notify_all();
+    }
+
+    void read_loop(api::Service& service) {
+      net::FrameBuffer frames;
+      std::vector<std::uint8_t> chunk(16384);
+      for (std::size_t n = 0; (n = link->read_some(chunk)) > 0;) {
+        frames.append(std::span(chunk.data(), n));
+        for (auto frame = frames.extract(); !frame.empty(); frame = frames.extract()) {
+          const auto type = api::peek_frame_type(frame);
+          if (type == api::FrameType::kHello) {
+            enqueue(api::encode_welcome({api::kProtocolVersion, service.epoch()}));
+          } else if (type == api::FrameType::kSubscribe) {
+            const auto subscribe = api::decode_subscribe(frame);
+            const std::uint64_t local_id = subscriptions.size() + 1;
+            subscriptions.push_back(service.subscribe_encoded(
+                subscribe.filter,
+                [this, local_id](stream::Epoch, const api::EncodedEventPtr& payload) {
+                  enqueue(api::encode_event_prefix(local_id, payload->size()), payload);
+                },
+                subscribe.replay_from));
+            api::SubscribedFrame ack;
+            ack.request_id = subscribe.request_id;
+            ack.subscription_id = local_id;
+            enqueue(api::encode_subscribed(ack));
+          }
+        }
+      }
+      close_queue();
+    }
+
+    void write_loop() {
+      for (;;) {
+        std::pair<std::vector<std::uint8_t>, api::EncodedEventPtr> frame;
+        {
+          std::unique_lock lock(mutex);
+          cv.wait(lock, [&] { return closed || !queue.empty(); });
+          if (queue.empty()) break;
+          frame = std::move(queue.front());
+          queue.pop_front();
+        }
+        if (!link->write_all(frame.first) ||
+            (frame.second && !link->write_all(*frame.second))) {
+          break;
+        }
+      }
+      link->shutdown_write();
+    }
+
+    /// Unblocks both threads, joins them, and takes the subscriptions back
+    /// out of the service before the sinks' `this` goes away.
+    void stop(api::Service& service) {
+      link->close();
+      reader.join();
+      for (const auto id : subscriptions) (void)service.unsubscribe(id);
+      close_queue();
+      writer.join();
+    }
+
+    std::unique_ptr<net::Connection> link;
+    std::mutex mutex;
+    std::condition_variable cv;
+    std::deque<std::pair<std::vector<std::uint8_t>, api::EncodedEventPtr>> queue;
+    bool closed = false;
+    std::vector<api::SubscriptionId> subscriptions;  ///< Reader thread only.
+    std::thread reader;
+    std::thread writer;
+  };
+
+  api::Service& service_;
+  std::shared_ptr<net::LoopbackListener> listener_;
+  std::vector<std::unique_ptr<Conn>> conns_;  ///< Accept thread only, until stop().
+  std::thread accept_;
+};
+
 struct Sub {
   std::unique_ptr<net::Connection> conn;
   net::FrameBuffer frames;
@@ -95,18 +226,23 @@ std::vector<std::uint8_t> next_frame(net::Connection& conn, net::FrameBuffer& fr
 }
 
 /// One tier: `subscribers` match-all subscriptions, `epochs` published
-/// epochs, timed from first publish to last delivery.
-FanoutResult bench_fanout(std::size_t subscribers, stream::Epoch epochs,
-                          net::ServeMode mode) {
+/// epochs, timed from first publish to last delivery. `threaded` serves
+/// them with ThreadPerConnectionServer instead of net::Server.
+FanoutResult bench_fanout(std::size_t subscribers, stream::Epoch epochs, bool threaded) {
   // window_epochs = 1: the driver flips tagging parity every epoch; a longer
   // window would union consecutive epochs and publish no class changes.
   api::Service service({.stream = {.shards = 2, .window_epochs = 1}});
   auto listener = std::make_shared<net::LoopbackListener>();
-  net::ServerConfig config;
-  config.max_connections = subscribers + 8;
-  config.mode = mode;
-  net::Server server(service, listener, config);
-  server.start();
+  std::optional<net::Server> server;
+  std::optional<ThreadPerConnectionServer> baseline;
+  if (threaded) {
+    baseline.emplace(service, listener);
+  } else {
+    net::ServerConfig config;
+    config.max_connections = subscribers + 8;
+    server.emplace(service, listener, config);
+    server->start();
+  }
 
   std::vector<Sub> subs(subscribers);
   for (auto& sub : subs) {
@@ -177,7 +313,8 @@ FanoutResult bench_fanout(std::size_t subscribers, stream::Epoch epochs,
   const auto t1 = Clock::now();
   stop.store(true);
   drainer.join();
-  server.stop();
+  if (server) server->stop();
+  if (baseline) baseline->stop();
 
   FanoutResult out;
   out.subscribers = subscribers;
@@ -227,7 +364,7 @@ int run(bool smoke, const std::string& out_path) {
 
   std::vector<FanoutResult> results;
   for (const auto tier : tiers) {
-    const auto r = bench_fanout(tier, epochs, net::ServeMode::kEventLoop);
+    const auto r = bench_fanout(tier, epochs, /*threaded=*/false);
     std::printf("event loop, %6zu subscribers: %10.0f events/s over %zu epochs "
                 "(%.0f ms wall, %llu/%llu delivered)%s\n",
                 r.subscribers, r.events_per_sec, static_cast<std::size_t>(epochs),
@@ -243,8 +380,7 @@ int run(bool smoke, const std::string& out_path) {
   }
   std::cout << "delivered-equals-published: identical on every tier\n";
 
-  const auto baseline =
-      bench_fanout(baseline_subs, epochs, net::ServeMode::kThreadPerConnection);
+  const auto baseline = bench_fanout(baseline_subs, epochs, /*threaded=*/true);
   std::printf("thread-per-connection baseline, %6zu subscribers: %10.0f events/s "
               "(%.0f ms wall, %llu/%llu delivered)\n",
               baseline.subscribers, baseline.events_per_sec, baseline.wall_ms,
@@ -279,15 +415,15 @@ int run(bool smoke, const std::string& out_path) {
                   r.wall_ms);
     tiers_json += item;
   }
-  char json[640];
+  char json[1024];
   std::snprintf(json, sizeof json,
-                "{\"bench\":\"fanout\",\"smoke\":%s,\"epochs\":%zu,"
+                "{\"bench\":\"fanout\",\"host\":%s,\"smoke\":%s,\"epochs\":%zu,"
                 "\"tiers\":[%s],"
                 "\"baseline_subscribers\":%zu,\"baseline_events_per_sec\":%.0f,"
                 "\"speedup_vs_threaded\":%.2f,\"delivered_equals_published\":true}\n",
-                smoke ? "true" : "false", static_cast<std::size_t>(epochs),
-                tiers_json.c_str(), baseline.subscribers, baseline.events_per_sec,
-                speedup);
+                bench::host_json().c_str(), smoke ? "true" : "false",
+                static_cast<std::size_t>(epochs), tiers_json.c_str(), baseline.subscribers,
+                baseline.events_per_sec, speedup);
   std::ofstream out(out_path, std::ios::trunc);
   out << json;
   out.flush();

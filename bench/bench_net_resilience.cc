@@ -136,7 +136,6 @@ ShedResult bench_shed(std::size_t requests) {
   config.max_requests_per_sec = 100;  // flood outpaces this by orders of magnitude
   config.request_burst = 1;
   config.busy_retry_after_ms = 5;
-  config.write_queue_limit = requests + 64;  // sheds are queued, not dropped
   net::Server server(service, listener, config);
   server.start();
 
@@ -236,14 +235,14 @@ int run(bool smoke, const std::string& out_path) {
   }
   std::cout << "post-flood liveness: ping answered\n";
 
-  char json[512];
+  char json[1024];
   std::snprintf(json, sizeof json,
-                "{\"bench\":\"net_resilience\",\"smoke\":%s,"
+                "{\"bench\":\"net_resilience\",\"host\":%s,\"smoke\":%s,"
                 "\"reconnects\":%llu,\"reconnect_p50_ms\":%.3f,"
                 "\"reconnect_max_ms\":%.3f,\"flood_requests\":%zu,"
                 "\"sheds\":%llu,\"answered\":%llu,\"sheds_per_sec\":%.0f,"
                 "\"sequence_divergence\":false}\n",
-                smoke ? "true" : "false",
+                bench::host_json().c_str(), smoke ? "true" : "false",
                 static_cast<unsigned long long>(reconnect.reconnects),
                 reconnect.p50_ms, reconnect.max_ms, flood,
                 static_cast<unsigned long long>(shed.sheds),

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <thread>
 
 namespace bgpcu::bench {
 
@@ -60,6 +62,38 @@ void print_banner(const std::string& experiment, const std::string& paper_ref) {
   std::printf("DESIGN.md); compare shapes, not absolute magnitudes. BGPCU_SCALE=%g\n",
               scale_factor());
   std::printf("================================================================\n");
+}
+
+std::string host_json() {
+  const auto quoted = [](const std::string& text) {
+    std::string out = "\"";
+    for (const char c : text) {
+      if (c == '"' || c == '\\') out += '\\';
+      if (static_cast<unsigned char>(c) >= 0x20) out += c;
+    }
+    return out + "\"";
+  };
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto colon = line.find(':');
+    if (colon != std::string::npos) cpu = line.substr(colon + 2);
+    break;
+  }
+#if defined(__GNUC__) && !defined(__clang__)
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+  const std::string compiler = __VERSION__;
+#endif
+#ifdef NDEBUG
+  const std::string build_type = "release";
+#else
+  const std::string build_type = "debug";
+#endif
+  return "{\"nproc\":" + std::to_string(std::thread::hardware_concurrency()) +
+         ",\"cpu\":" + quoted(cpu) + ",\"compiler\":" + quoted(compiler) +
+         ",\"build_type\":" + quoted(build_type) + "}";
 }
 
 }  // namespace bgpcu::bench

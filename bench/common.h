@@ -50,6 +50,10 @@ struct World {
 /// Standard header every bench prints: experiment id + reproduction note.
 void print_banner(const std::string& experiment, const std::string& paper_ref);
 
+/// The machine a BENCH_*.json line was measured on, as a JSON object:
+/// {"nproc":N,"cpu":"...","compiler":"...","build_type":"release|debug"}.
+[[nodiscard]] std::string host_json();
+
 }  // namespace bgpcu::bench
 
 #endif  // BGPCU_BENCH_COMMON_H

@@ -59,19 +59,38 @@ std::uint64_t FaultyConnection::cut_budget(Fault::Dir dir) const {
   return budget;
 }
 
-void FaultyConnection::maybe_stall(Fault::Dir dir, std::uint64_t before,
-                                   std::uint64_t after) {
+std::uint64_t FaultyConnection::write_chunk(std::uint64_t size) const {
+  auto chunk = std::min(size, cut_budget(Fault::Dir::kWrite));
+  const auto written = bytes_written_.load();
+  for (const auto& fault : plan_.faults) {
+    if (fault.kind != Fault::Kind::kShortWrite || written < fault.at_bytes) continue;
+    chunk = std::min<std::uint64_t>(chunk, std::max<std::size_t>(fault.chunk, 1));
+  }
+  return chunk;
+}
+
+std::chrono::milliseconds FaultyConnection::take_stall(Fault::Dir dir, std::uint64_t before,
+                                                       std::uint64_t after) {
+  std::chrono::milliseconds delay{0};
+  const std::lock_guard lock(stall_mutex_);
   for (std::size_t i = 0; i < plan_.faults.size(); ++i) {
     const auto& fault = plan_.faults[i];
-    if (fault.kind != Fault::Kind::kStall || fault.dir != dir) continue;
+    if (fault.kind != Fault::Kind::kStall || fault.dir != dir || fired_[i]) continue;
     if (fault.at_bytes < before || fault.at_bytes >= after) continue;
-    {
-      const std::lock_guard lock(stall_mutex_);
-      if (fired_[i]) continue;
-      fired_[i] = true;
-    }
-    std::this_thread::sleep_for(fault.delay);
+    fired_[i] = true;
+    delay += fault.delay;
   }
+  return delay;
+}
+
+bool FaultyConnection::stalled(Fault::Dir dir, std::uint64_t before, std::uint64_t after) {
+  auto& until = stall_until_[static_cast<std::size_t>(dir)];
+  const auto now = Clock::now();
+  if (now < until) return true;
+  const auto delay = take_stall(dir, before, after);
+  if (delay <= std::chrono::milliseconds::zero()) return false;
+  until = now + delay;
+  return true;
 }
 
 void FaultyConnection::sever() {
@@ -90,7 +109,7 @@ std::size_t FaultyConnection::read_some(std::span<std::uint8_t> out) {
   }
   const auto want = std::min<std::uint64_t>(out.size(), budget);
   const auto before = bytes_read_.load();
-  maybe_stall(Fault::Dir::kRead, before, before + want);
+  std::this_thread::sleep_for(take_stall(Fault::Dir::kRead, before, before + want));
   const auto n = inner_->read_some(out.subspan(0, static_cast<std::size_t>(want)));
   bytes_read_.fetch_add(n);
   if (n > 0 && cut_budget(Fault::Dir::kRead) == 0) {
@@ -98,6 +117,23 @@ std::size_t FaultyConnection::read_some(std::span<std::uint8_t> out) {
     sever();
   }
   return n;
+}
+
+IoStatus FaultyConnection::try_read(std::span<std::uint8_t> out, std::size_t& n) {
+  n = 0;
+  if (severed_.load()) return IoStatus::kEof;
+  const auto budget = cut_budget(Fault::Dir::kRead);
+  if (budget == 0) {
+    sever();
+    return IoStatus::kEof;
+  }
+  const auto want = std::min<std::uint64_t>(out.size(), budget);
+  const auto before = bytes_read_.load();
+  if (stalled(Fault::Dir::kRead, before, before + want)) return IoStatus::kWouldBlock;
+  const auto status = inner_->try_read(out.subspan(0, static_cast<std::size_t>(want)), n);
+  bytes_read_.fetch_add(n);
+  if (n > 0 && cut_budget(Fault::Dir::kRead) == 0) sever();
+  return status;
 }
 
 void FaultyConnection::set_read_timeout(std::chrono::milliseconds timeout) {
@@ -108,18 +144,13 @@ bool FaultyConnection::write_all(std::span<const std::uint8_t> data) {
   std::size_t offset = 0;
   while (offset < data.size()) {
     if (severed_.load()) return false;
-    const auto budget = cut_budget(Fault::Dir::kWrite);
-    if (budget == 0) {
+    const auto chunk = write_chunk(data.size() - offset);
+    if (chunk == 0) {
       sever();
       return false;
     }
-    auto chunk = std::min<std::uint64_t>(data.size() - offset, budget);
     const auto written = bytes_written_.load();
-    for (const auto& fault : plan_.faults) {
-      if (fault.kind != Fault::Kind::kShortWrite || written < fault.at_bytes) continue;
-      chunk = std::min<std::uint64_t>(chunk, std::max<std::size_t>(fault.chunk, 1));
-    }
-    maybe_stall(Fault::Dir::kWrite, written, written + chunk);
+    std::this_thread::sleep_for(take_stall(Fault::Dir::kWrite, written, written + chunk));
     if (!inner_->write_all(data.subspan(offset, static_cast<std::size_t>(chunk)))) {
       return false;
     }
@@ -133,6 +164,24 @@ bool FaultyConnection::write_all(std::span<const std::uint8_t> data) {
     }
   }
   return true;
+}
+
+IoStatus FaultyConnection::try_write(std::span<const std::uint8_t> data, std::size_t& n) {
+  n = 0;
+  if (severed_.load()) return IoStatus::kEof;
+  if (cut_budget(Fault::Dir::kWrite) == 0) {
+    sever();
+    return IoStatus::kEof;
+  }
+  const auto chunk = write_chunk(data.size());
+  const auto written = bytes_written_.load();
+  if (stalled(Fault::Dir::kWrite, written, written + chunk)) return IoStatus::kWouldBlock;
+  const auto status = inner_->try_write(data.subspan(0, static_cast<std::size_t>(chunk)), n);
+  bytes_written_.fetch_add(n);
+  // Exactly the budget got through; the next call (either direction) sees
+  // the dead link.
+  if (n > 0 && cut_budget(Fault::Dir::kWrite) == 0) sever();
+  return status;
 }
 
 void FaultyConnection::shutdown_write() { inner_->shutdown_write(); }

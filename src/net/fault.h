@@ -9,6 +9,12 @@
 // connection: "cut write at 7" lets exactly 7 bytes through (a partial write
 // of the frame in flight), then severs the link — both directions, like a
 // dropped TCP session — and every later operation reports peer-gone.
+//
+// A FaultyConnection is pollable: it forwards the inner connection's
+// readiness fds, and its nonblocking try_read/try_write apply the same plan
+// as the blocking calls, so the server's event loop is what the chaos
+// suites fault-inject. A stall there never sleeps: the crossing call and
+// every retry report kWouldBlock until the stall's deadline has passed.
 #ifndef BGPCU_NET_FAULT_H
 #define BGPCU_NET_FAULT_H
 
@@ -28,7 +34,8 @@ namespace bgpcu::net {
 struct Fault {
   enum class Kind : std::uint8_t {
     kCut,        ///< Sever the link once `at_bytes` have crossed in `dir`.
-    kStall,      ///< Sleep `delay` once, when the byte threshold is crossed.
+    kStall,      ///< Pause `delay` once, when the byte threshold is crossed
+                 ///< (a sleep in blocking calls, kWouldBlock in try_*).
     kShortWrite, ///< From `at_bytes` on, pass writes to the transport in
                  ///< chunks of at most `chunk` bytes (forces partial-write
                  ///< interleavings at the peer's frame decoder).
@@ -69,9 +76,10 @@ struct FaultPlan {
 };
 
 /// Connection wrapper executing a FaultPlan. Thread model matches
-/// Connection: one reader + one writer thread; read-side fault state is
-/// touched only by the reader, write-side only by the writer, and the
-/// severed flag is atomic.
+/// Connection: the event loop drives both directions from one IO thread, a
+/// blocking user may read and write from one thread each, and close() may
+/// come from any thread. Read-side fault state is touched only by whoever
+/// reads, write-side only by whoever writes; the severed flag is atomic.
 class FaultyConnection : public Connection {
  public:
   FaultyConnection(std::unique_ptr<Connection> inner, FaultPlan plan);
@@ -82,6 +90,9 @@ class FaultyConnection : public Connection {
   void shutdown_write() override;
   void close() override;
   [[nodiscard]] std::string peer_name() const override;
+  [[nodiscard]] PollInfo poll_info() const override { return inner_->poll_info(); }
+  IoStatus try_read(std::span<std::uint8_t> out, std::size_t& n) override;
+  IoStatus try_write(std::span<const std::uint8_t> data, std::size_t& n) override;
 
   /// True once a kCut fault fired (diagnostics for tests/benches).
   [[nodiscard]] bool severed() const noexcept { return severed_.load(); }
@@ -89,9 +100,20 @@ class FaultyConnection : public Connection {
   [[nodiscard]] std::uint64_t bytes_written() const noexcept { return bytes_written_.load(); }
 
  private:
+  using Clock = std::chrono::steady_clock;
+
   /// Bytes until the next kCut in `dir`; ~0 when none remains.
   [[nodiscard]] std::uint64_t cut_budget(Fault::Dir dir) const;
-  void maybe_stall(Fault::Dir dir, std::uint64_t before, std::uint64_t after);
+  /// Bytes the next write may pass to the transport: at most `size`, the
+  /// cut budget, and any active short-write chunk.
+  [[nodiscard]] std::uint64_t write_chunk(std::uint64_t size) const;
+  /// Total delay of the not-yet-fired stalls in `dir` whose threshold lies
+  /// in [before, after); marks them fired.
+  std::chrono::milliseconds take_stall(Fault::Dir dir, std::uint64_t before,
+                                       std::uint64_t after);
+  /// Nonblocking stall: true while a stall in `dir` is running, starting
+  /// one when [before, after) crosses an unfired threshold.
+  bool stalled(Fault::Dir dir, std::uint64_t before, std::uint64_t after);
   void sever();
 
   std::unique_ptr<Connection> inner_;
@@ -101,6 +123,8 @@ class FaultyConnection : public Connection {
   std::atomic<std::uint64_t> bytes_written_{0};
   std::mutex stall_mutex_;  ///< Guards fired flags (reader vs writer stalls).
   std::vector<bool> fired_;
+  /// End of the running nonblocking stall, per direction (indexed by Dir).
+  Clock::time_point stall_until_[2]{};
 };
 
 /// Wraps `inner` with `plan`; an empty plan still counts bytes but injects

@@ -30,7 +30,7 @@ namespace bgpcu::net {
 /// the writer should come learn that). The fds are created lazily — tests
 /// that never poll pay nothing — and are maintained by every mutating
 /// operation. On eventfd creation failure the accessors return -1 and the
-/// connection reports itself non-pollable.
+/// connection reports itself non-pollable (the server then turns it away).
 class LoopbackPipe {
  public:
   explicit LoopbackPipe(std::size_t capacity);
@@ -80,7 +80,7 @@ class LoopbackPipe {
   // (the common case), and compacts when the dead prefix dominates — a
   // deque of bytes pays per-byte segmented-iterator cost on every copy,
   // which at fan-out scale (tens of MB through thousands of pipes) was
-  // measurable in both serving modes.
+  // measurable.
   std::vector<std::uint8_t> buffer_;
   std::size_t head_ = 0;
   bool write_closed_ = false;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -23,6 +24,10 @@ namespace {
 /// (bounded by hello_timeout_ms) at once; everything past this is closed
 /// abruptly so a connection flood cannot scale per-connection state.
 constexpr std::size_t kGracefulRejectSlots = 8;
+
+/// How long a direction whose readiness yielded no progress goes unwatched
+/// (see EventConn::backoff).
+constexpr std::uint64_t kStallBackoffMs = 1;
 
 std::uint64_t steady_now_ms() {
   return static_cast<std::uint64_t>(
@@ -46,34 +51,41 @@ struct OutFrame {
 
 }  // namespace
 
-// ------------------------------------------------------------ ConnHandler --
+// -------------------------------------------------------------- EventConn --
 
-/// Shared protocol machinery for one live connection: handshake, dispatch,
-/// subscriptions, admission control. Subclasses supply the IO model — how
-/// frames are queued out (enqueue) and what clearing the hello deadline
-/// means (on_handshake_complete). Held by shared_ptr from the server and,
-/// weakly, from subscription callbacks living inside the Service.
-class Server::ConnHandler : public std::enable_shared_from_this<Server::ConnHandler> {
+/// One live connection: protocol state (handshake, dispatch, subscriptions,
+/// admission control) plus its poller-driven IO. All transport IO happens
+/// on the owning IoLoop's thread; decoded frames are dispatched, in order,
+/// by at most one worker at a time (the inbox + worker_scheduled_ flag
+/// serialize it). Members are grouped by owner; cross-thread handoffs go
+/// through the mutexes and the atomics. Held by shared_ptr from its loop
+/// and, weakly, from subscription callbacks living inside the Service. IO
+/// members are public because the sibling IoLoop (not a friend under
+/// nested-class rules) drives this object — both classes are local to this
+/// translation unit.
+class Server::EventConn : public std::enable_shared_from_this<Server::EventConn> {
  public:
   /// `reject` marks an over-limit connection: its first frame is answered
   /// with kServerBusy (or structured kBusy) and the connection torn down.
   /// Rejecting through the normal handler (rather than write-and-close in
   /// the accept loop) matters on real TCP: closing with the client's unread
   /// hello still buffered raises RST, which can discard the queued error.
-  ConnHandler(Server& server, std::unique_ptr<Connection> conn, bool reject)
+  EventConn(Server& server, std::unique_ptr<Connection> conn, bool reject, PollInfo pi,
+            std::uint64_t token_base, IoLoop* loop)
       : server_(server),
         conn_(std::move(conn)),
         reject_(reject),
+        pi_(pi),
+        token_base_(token_base),
+        loop_(loop),
+        frames_(server.config_.max_request_payload),
+        read_chunk_(16384),
         rate_tokens_(static_cast<double>(server.config_.request_burst)) {}
 
-  virtual ~ConnHandler() = default;
-
-  virtual void start() = 0;
-  /// Hard teardown from outside (server stop or queue overflow): drop
-  /// pending output and unblock everything. Does not join.
-  virtual void abort_connection() = 0;
-  [[nodiscard]] virtual bool done() const noexcept = 0;
-  virtual void join() {}
+  /// Hard teardown from outside (server stop, queue overflow, dead peer):
+  /// drop pending output and close the transport.
+  void abort_connection();
+  [[nodiscard]] bool done() const noexcept { return completed_.load() || aborted_.load(); }
 
   /// Unsubscribes everything this connection registered with the service.
   /// Idempotent; must run before the connection's output drains out so the
@@ -91,13 +103,11 @@ class Server::ConnHandler : public std::enable_shared_from_this<Server::ConnHand
     }
   }
 
- protected:
+ private:
   /// Queues one outbound frame. Never blocks: an overflowing queue means a
   /// slow consumer, which is aborted rather than waited for. Safe from any
   /// thread, including Service publish callbacks.
-  virtual void enqueue(OutFrame frame) = 0;
-  /// The handshake landed: lift the first-frame deadline.
-  virtual void on_handshake_complete() = 0;
+  void enqueue(OutFrame frame);
 
   void enqueue_frame(std::vector<std::uint8_t> frame) {
     enqueue({std::move(frame), nullptr});
@@ -121,7 +131,7 @@ class Server::ConnHandler : public std::enable_shared_from_this<Server::ConnHand
   }
 
   /// Rejects the hello token / protocol version; returns true when the
-  /// handshake may proceed. Shared by the legacy and feature handshakes.
+  /// handshake may proceed. Shared by the kHello and kHello2 handshakes.
   bool check_handshake(std::uint8_t protocol, const std::string& token) {
     // Exact match: an older client would misdecode responses whose
     // payloads grew since its version (e.g. the v2 stats fields), so the
@@ -174,8 +184,8 @@ class Server::ConnHandler : public std::enable_shared_from_this<Server::ConnHand
 
   /// Dispatches one complete inbound frame. Returns false on a fatal
   /// protocol violation (an error frame has been queued; stop reading).
-  /// Serialized per connection: reader thread (threaded path) or inbox
-  /// drain (event path) — never concurrent with itself.
+  /// Serialized per connection by the inbox drain — never concurrent with
+  /// itself.
   bool handle_frame(const std::vector<std::uint8_t>& frame) {
     const auto type = api::peek_frame_type(frame);
     if (reject_) {
@@ -199,7 +209,7 @@ class Server::ConnHandler : public std::enable_shared_from_this<Server::ConnHand
         features_ = hello.features & api::kAllFeatures;
         hello_done_ = true;
         if (features_ & api::kFeatureKeepalive) keepalive_negotiated_.store(true);
-        on_handshake_complete();
+        hello_passed_.store(true);  // lifts the hello deadline
         api::Welcome2Frame welcome;
         welcome.protocol = api::kProtocolVersion;
         welcome.epoch = server_.service_.epoch();
@@ -215,7 +225,7 @@ class Server::ConnHandler : public std::enable_shared_from_this<Server::ConnHand
       const auto hello = api::decode_hello(frame);
       if (!check_handshake(hello.protocol, hello.token)) return false;
       hello_done_ = true;
-      on_handshake_complete();
+      hello_passed_.store(true);  // lifts the hello deadline
       enqueue_frame(api::encode_welcome({api::kProtocolVersion, server_.service_.epoch()}));
       return true;
     }
@@ -283,7 +293,7 @@ class Server::ConnHandler : public std::enable_shared_from_this<Server::ConnHand
         // the ack, a publish on any thread is guaranteed to reach it.
         // Replayed events are therefore enqueued ahead of the ack — clients
         // buffer events at any time, so that ordering is fine.
-        std::weak_ptr<ConnHandler> weak = weak_from_this();
+        std::weak_ptr<EventConn> weak = weak_from_this();
         // Resume-negotiated peers learn atomically with the replay whether
         // the event log still covered their replay_from epoch; a false flag
         // tells the client to re-sync from a snapshot instead of trusting
@@ -359,300 +369,34 @@ class Server::ConnHandler : public std::enable_shared_from_this<Server::ConnHand
     return keepalive_negotiated_.load() && server_.config_.keepalive_interval_ms > 0;
   }
 
-  Server& server_;
-  std::unique_ptr<Connection> conn_;
-  const bool reject_;
+  /// Runs once, on the worker, when the connection is over: stops reads,
+  /// releases subscriptions, and asks the loop to drain-then-half-close.
+  void finalize_teardown();
+  void keepalive_check(std::uint64_t now);
 
-  // Dispatch-serialized state (reader thread / inbox drain — never
-  // concurrent with itself).
-  bool hello_done_ = false;
-  std::uint64_t features_ = 0;  ///< Granted kFeature* bits (0 = legacy peer).
-  std::uint64_t next_subscription_id_ = 1;
-  double rate_tokens_ = 0;
-  std::chrono::steady_clock::time_point rate_last_ = std::chrono::steady_clock::now();
-
-  /// Guards the subscription table against teardown racing registration.
-  std::mutex subs_mutex_;
-  std::unordered_map<std::uint64_t, api::SubscriptionId> subscriptions_;
-  bool subs_released_ = false;
-
-  // Crosses dispatch -> keepalive prober.
-  std::atomic<bool> keepalive_negotiated_{false};
-  std::atomic<std::uint64_t> last_rx_ms_{0};
-};
-
-// ---------------------------------------------------- ThreadedConnHandler --
-
-/// Legacy model: one reader thread (frames in, dispatch) + one writer
-/// thread (bounded queue out) per connection. Used for every connection
-/// under ServeMode::kThreadPerConnection and for transports that cannot be
-/// polled (fault-injection wrappers report a non-pollable PollInfo).
-class Server::ThreadedConnHandler : public Server::ConnHandler {
  public:
-  ThreadedConnHandler(Server& server, std::unique_ptr<Connection> conn, bool reject)
-      : ConnHandler(server, std::move(conn), reject) {}
-
-  void start() override {
-    auto self = std::static_pointer_cast<ThreadedConnHandler>(shared_from_this());
-    reader_ = std::thread([self] { self->reader_loop(); });
-    writer_ = std::thread([self] { self->writer_loop(); });
-  }
-
-  void abort_connection() override {
-    {
-      const std::lock_guard lock(queue_mutex_);
-      queue_closed_ = true;
-      queue_.clear();
-      queue_bytes_ = 0;
-    }
-    queue_cv_.notify_all();
-    conn_->close();
-  }
-
-  void join() override {
-    if (reader_.joinable()) reader_.join();
-    if (writer_.joinable()) writer_.join();
-  }
-
-  [[nodiscard]] bool done() const noexcept override {
-    return reader_done_.load() && writer_done_.load();
-  }
-
- protected:
-  void enqueue(OutFrame frame) override {
-    bool overflow = false;
-    {
-      const std::lock_guard lock(queue_mutex_);
-      if (queue_closed_) return;
-      // Both bounds hold: the deprecated frame count and the byte cap.
-      // Bytes are checked against what is *already* queued, so one frame
-      // larger than the limit still goes out on an under-limit queue.
-      if (queue_.size() >= server_.config_.write_queue_limit ||
-          queue_bytes_ >= server_.config_.write_queue_bytes_limit) {
-        overflow = true;
-        queue_closed_ = true;
-        queue_.clear();
-        queue_bytes_ = 0;
-      } else {
-        queue_bytes_ += frame.size();
-        queue_.push_back(std::move(frame));
-        obs::metrics().net_write_queue_hwm.max_of(
-            static_cast<std::int64_t>(queue_.size()));
-      }
-    }
-    queue_cv_.notify_one();
-    if (overflow) {
-      server_.stats_.slow_disconnects.fetch_add(1);
-      obs::metrics().net_slow_disconnects.add(1);
-      abort_connection();
-    }
-  }
-
-  void on_handshake_complete() override {
-    conn_->set_read_timeout(std::chrono::milliseconds::zero());
-  }
-
- private:
-  /// Signals the writer that no further frames are coming; it drains what is
-  /// queued, then half-closes toward the client.
-  void close_queue() {
-    {
-      const std::lock_guard lock(queue_mutex_);
-      queue_closed_ = true;
-    }
-    queue_cv_.notify_all();
-  }
-
-  void reader_loop() {
-    FrameBuffer frames(server_.config_.max_request_payload);
-    std::vector<std::uint8_t> chunk(16384);
-    // The first frame runs against a deadline (cleared once the handshake
-    // lands): a connect that never speaks cannot hold this slot forever.
-    if (server_.config_.hello_timeout_ms > 0) {
-      conn_->set_read_timeout(std::chrono::milliseconds(server_.config_.hello_timeout_ms));
-    }
-    bool fatal = false;
-    while (!fatal) {
-      std::size_t n = 0;
-      try {
-        n = conn_->read_some(chunk);
-      } catch (const TransportError&) {
-        break;
-      }
-      if (n == 0) break;  // EOF / peer half-closed: flush and finish
-      last_rx_ms_.store(steady_now_ms());
-      obs::metrics().net_bytes_in.add(n);
-      try {
-        frames.append(std::span(chunk.data(), n));
-        for (auto frame = frames.extract(); !frame.empty(); frame = frames.extract()) {
-          server_.stats_.frames_received.fetch_add(1);
-          obs::metrics().net_frames_received.add(1);
-          if (!handle_frame(frame)) {
-            fatal = true;
-            break;
-          }
-        }
-      } catch (const api::WireFormatError& e) {
-        send_error(0, api::ErrorCode::kBadRequest, e.what());
-        fatal = true;
-      }
-    }
-    // Teardown: the service must stop delivering into this connection
-    // before the writer drains out.
-    release_subscriptions();
-    close_queue();
-    reader_done_.store(true);
-  }
-
-  /// How long the writer may sit idle before the next keepalive action:
-  /// the dead-peer deadline while a probe is outstanding, else the probe
-  /// cadence. Writer-thread only.
-  [[nodiscard]] std::chrono::milliseconds idle_wait() const {
-    return std::chrono::milliseconds(ping_outstanding_
-                                         ? server_.config_.keepalive_timeout_ms
-                                         : server_.config_.keepalive_interval_ms);
-  }
-
-  /// Runs on the writer thread after an idle keepalive interval. Returns
-  /// false once the peer is declared dead (connection aborted).
-  bool keepalive_tick() {
-    const auto now = steady_now_ms();
-    const auto last_rx = last_rx_ms_.load();
-    if (ping_outstanding_) {
-      if (last_rx >= ping_sent_ms_) {
-        // Anything inbound since the probe proves the peer is alive.
-        ping_outstanding_ = false;
-        return true;
-      }
-      if (now - ping_sent_ms_ >= server_.config_.keepalive_timeout_ms) {
-        server_.stats_.keepalive_disconnects.fetch_add(1);
-        obs::metrics().net_keepalive_disconnects.add(1);
-        abort_connection();
-        return false;
-      }
-      return true;
-    }
-    if (now - last_rx < server_.config_.keepalive_interval_ms) return true;
-    // We *are* the writer and the queue is idle, so the probe is written
-    // directly — it cannot deadlock with the queue, and a closed queue
-    // cannot swallow it.
-    ping_outstanding_ = true;
-    ping_sent_ms_ = now;
-    server_.stats_.keepalive_probes.fetch_add(1);
-    obs::metrics().net_keepalive_probes.add(1);
-    const auto probe = api::encode_ping({++ping_nonce_});
-    if (!conn_->write_all(probe)) {
-      abort_connection();
-      return false;
-    }
-    server_.stats_.frames_sent.fetch_add(1);
-    auto& m = obs::metrics();
-    m.net_frames_sent.add(1);
-    m.net_bytes_out.add(probe.size());
-    return true;
-  }
-
-  void writer_loop() {
-    for (;;) {
-      OutFrame frame;
-      bool idle = false;
-      {
-        std::unique_lock lock(queue_mutex_);
-        const auto ready = [&] { return !queue_.empty() || queue_closed_; };
-        if (keepalive_enabled()) {
-          idle = !queue_cv_.wait_for(lock, idle_wait(), ready);
-        } else {
-          queue_cv_.wait(lock, ready);
-        }
-        if (!idle) {
-          if (queue_.empty()) break;  // closed and drained
-          frame = std::move(queue_.front());
-          queue_.pop_front();
-          queue_bytes_ -= frame.size();
-        }
-      }
-      if (idle) {
-        if (!keepalive_tick()) break;
-        continue;
-      }
-      if (!conn_->write_all(frame.head) ||
-          (frame.tail && !conn_->write_all(*frame.tail))) {
-        // Peer is gone: drop the rest and wake the reader out of its read.
-        abort_connection();
-        break;
-      }
-      server_.stats_.frames_sent.fetch_add(1);
-      auto& m = obs::metrics();
-      m.net_frames_sent.add(1);
-      m.net_bytes_out.add(frame.size());
-    }
-    // Everything queued before close_queue() has been flushed (or the peer
-    // vanished): end our write side so the client sees EOF after the tail.
-    conn_->shutdown_write();
-    writer_done_.store(true);
-  }
-
-  std::mutex queue_mutex_;
-  std::condition_variable queue_cv_;
-  std::deque<OutFrame> queue_;
-  std::size_t queue_bytes_ = 0;
-  bool queue_closed_ = false;
-
-  std::thread reader_;
-  std::thread writer_;
-  std::atomic<bool> reader_done_{false};
-  std::atomic<bool> writer_done_{false};
-
-  // Writer-thread state.
-  bool ping_outstanding_ = false;
-  std::uint64_t ping_sent_ms_ = 0;
-  std::uint64_t ping_nonce_ = 0;
-};
-
-// -------------------------------------------------------------- EventConn --
-
-/// Poller-driven connection state. All socket IO happens on the owning
-/// IoLoop's thread; decoded frames are dispatched, in order, by at most one
-/// worker at a time (the inbox + worker_scheduled_ flag serialize it).
-/// Members are grouped by owner; cross-thread handoffs go through the two
-/// mutexes and the atomics. Fields are public because the sibling IoLoop
-/// (not a friend under nested-class rules) drives this object — both
-/// classes are local to this translation unit.
-class Server::EventConn : public Server::ConnHandler {
- public:
-  EventConn(Server& server, std::unique_ptr<Connection> conn, bool reject,
-            PollInfo pi, std::uint64_t token_base, IoLoop* loop)
-      : ConnHandler(server, std::move(conn), reject),
-        pi_(pi),
-        token_base_(token_base),
-        loop_(loop),
-        frames_(server.config_.max_request_payload),
-        read_chunk_(16384) {}
-
-  void start() override {}  // adoption into the loop is the start
-  void abort_connection() override;
-  [[nodiscard]] bool done() const noexcept override {
-    return completed_.load() || aborted_.load();
-  }
-
-  [[nodiscard]] std::shared_ptr<EventConn> self() {
-    return std::static_pointer_cast<EventConn>(shared_from_this());
-  }
-
   void clear_flush_pending() { flush_pending_.store(false); }
 
   /// Loop-thread, once: stamps the hello-deadline and keepalive baselines.
   void mark_adopted(std::uint64_t now) {
     adopt_ms_ = now;
-    last_rx_ms_.store(now);
+    last_rx_ms_ = now;
   }
 
   // --- IO-loop-thread entry points -----------------------------------
-  void handle_readable(IoLoop& loop);
-  void flush(IoLoop& loop);
+  // handle_readable and flush return true when the transport answered
+  // kWouldBlock before a single byte moved: readiness was reported but
+  // withheld (an injected stall), and the caller backs that direction off.
+  [[nodiscard]] bool handle_readable(IoLoop& loop);
+  bool flush(IoLoop& loop);
   void update_interest(IoLoop& loop);
+  /// Stops watching one direction for kStallBackoffMs: the poller is
+  /// level-triggered, so a transport that withholds progress from a ready
+  /// fd would otherwise spin the loop until its stall ends.
+  void backoff(IoLoop& loop, bool read);
   /// Next steady-ms instant a deadline fires (0 = none): the hello
-  /// deadline before the handshake, the keepalive cadence after.
+  /// deadline before the handshake, the keepalive cadence after, and the
+  /// end of a direction's backoff.
   [[nodiscard]] std::uint64_t next_deadline() const;
   void on_deadline(IoLoop& loop, std::uint64_t now);
 
@@ -663,11 +407,6 @@ class Server::EventConn : public Server::ConnHandler {
   /// over (EOF, fatal protocol error, or abort).
   void drain_inbox();
 
- protected:
-  void enqueue(OutFrame frame) override;
-  void on_handshake_complete() override { hello_passed_.store(true); }
-
- public:
   /// One inbox entry: a complete frame, or the framing error that ended
   /// the stream (dispatched in order so everything decoded before the
   /// error is still answered first).
@@ -677,6 +416,9 @@ class Server::EventConn : public Server::ConnHandler {
     std::string error;
   };
 
+  Server& server_;
+  std::unique_ptr<Connection> conn_;
+  const bool reject_;
   const PollInfo pi_;
   const std::uint64_t token_base_;  ///< Poller token; bit 0 = write-signal fd.
   IoLoop* const loop_;
@@ -692,6 +434,10 @@ class Server::EventConn : public Server::ConnHandler {
   std::uint64_t ping_sent_ms_ = 0;
   std::uint64_t ping_nonce_ = 0;
   std::uint64_t adopt_ms_ = 0;  ///< Set once at adoption (hello deadline base).
+  std::uint64_t last_rx_ms_ = 0;  ///< Last inbound byte (keepalive baseline).
+  /// Steady-ms end of a direction's stall backoff (0 = watched normally).
+  std::uint64_t read_backoff_until_ = 0;
+  std::uint64_t write_backoff_until_ = 0;
   bool retired_ = false;        ///< Removed from the loop's table.
   // Interests actually registered with the poller, so the flush-heavy
   // steady state (interest unchanged) costs no epoll_ctl round-trips.
@@ -713,8 +459,9 @@ class Server::EventConn : public Server::ConnHandler {
   bool out_closed_ = false;
   bool close_after_flush_ = false;
 
-  bool fatal_ = false;  ///< Worker-serialized (protocol violation seen).
-
+  // Cross-thread flags: set by the worker (dispatch), a publish callback or
+  // stop(), read by the loop.
+  std::atomic<bool> keepalive_negotiated_{false};
   std::atomic<bool> hello_passed_{false};
   std::atomic<bool> stop_reading_{false};
   std::atomic<bool> flush_pending_{false};
@@ -722,10 +469,18 @@ class Server::EventConn : public Server::ConnHandler {
   std::atomic<bool> completed_{false};
 
  private:
-  void keepalive_check(std::uint64_t now);
-  /// Runs once, on the worker, when the connection is over: stops reads,
-  /// releases subscriptions, and asks the loop to drain-then-half-close.
-  void finalize_teardown();
+  // Dispatch-serialized state (inbox drain — never concurrent with itself).
+  bool hello_done_ = false;
+  std::uint64_t features_ = 0;  ///< Granted kFeature* bits (0 = legacy peer).
+  std::uint64_t next_subscription_id_ = 1;
+  double rate_tokens_ = 0;
+  std::chrono::steady_clock::time_point rate_last_ = std::chrono::steady_clock::now();
+  bool fatal_ = false;  ///< Protocol violation seen.
+
+  /// Guards the subscription table against teardown racing registration.
+  std::mutex subs_mutex_;
+  std::unordered_map<std::uint64_t, api::SubscriptionId> subscriptions_;
+  bool subs_released_ = false;
 };
 
 // ----------------------------------------------------------------- IoLoop --
@@ -886,13 +641,15 @@ class Server::IoLoop {
     const auto it = conns_.find(event.token & ~std::uint64_t{1});
     if (it == conns_.end()) return;
     auto conn = it->second;  // keep alive across retire/erase
-    if ((event.token & 1) == 0) {
-      if (event.readable) conn->handle_readable(*this);
-      if ((event.writable || event.hangup) && conn->want_write_) conn->flush(*this);
-    } else if (conn->want_write_) {
-      // The write-signal fd (loopback transports) reports writability as
-      // readability of a side eventfd.
-      conn->flush(*this);
+    // The write-signal fd (loopback transports) reports writability as
+    // readability of a side eventfd.
+    const bool signal_fd = (event.token & 1) != 0;
+    if (!signal_fd && event.readable && conn->handle_readable(*this)) {
+      conn->backoff(*this, /*read=*/true);
+    }
+    const bool writable = signal_fd || event.writable || event.hangup;
+    if (writable && conn->want_write_ && conn->flush(*this)) {
+      conn->backoff(*this, /*read=*/false);
     }
     maybe_retire(conn);
   }
@@ -1010,11 +767,9 @@ void Server::EventConn::enqueue(OutFrame frame) {
   {
     const std::lock_guard lock(out_mutex_);
     if (out_closed_) return;
-    // Both bounds hold: the deprecated frame count and the byte cap. Bytes
-    // are checked against what is *already* queued, so one frame larger
-    // than the limit still goes out on an under-limit queue.
-    if (outq_.size() >= server_.config_.write_queue_limit ||
-        out_bytes_ >= server_.config_.write_queue_bytes_limit) {
+    // Bytes are checked against what is *already* queued, so one frame
+    // larger than the limit still goes out on an under-limit queue.
+    if (out_bytes_ >= server_.config_.write_queue_bytes_limit) {
       overflow = true;
       out_closed_ = true;
       outq_.clear();
@@ -1031,7 +786,7 @@ void Server::EventConn::enqueue(OutFrame frame) {
     obs::metrics().net_slow_disconnects.add(1);
     abort_connection();
   } else if (!flush_pending_.exchange(true)) {
-    loop_->request_flush(self());
+    loop_->request_flush(shared_from_this());
   }
 }
 
@@ -1051,29 +806,34 @@ void Server::EventConn::abort_connection() {
     const std::lock_guard lock(in_mutex_);
     eof_ = true;
   }
-  loop_->request_flush(self());  // nudge the loop so it retires us
+  loop_->request_flush(shared_from_this());  // nudge the loop so it retires us
 }
 
-void Server::EventConn::handle_readable(IoLoop& loop) {
+bool Server::EventConn::handle_readable(IoLoop& loop) {
   if (read_done_ || stop_reading_.load()) {
     update_interest(loop);
-    return;
+    return false;
   }
   std::vector<InItem> items;
   bool eof = false;
+  bool stalled = false;
   // Budgeted so one firehosing peer cannot monopolize the loop; the poller
   // is level-triggered, so leftover bytes re-report on the next wait.
-  std::size_t budget = std::size_t{256} * 1024;
+  constexpr std::size_t kReadBudget = std::size_t{256} * 1024;
+  std::size_t budget = kReadBudget;
   while (budget > 0) {
     std::size_t n = 0;
     const auto cap = std::min(read_chunk_.size(), budget);
     const auto status = conn_->try_read(std::span(read_chunk_.data(), cap), n);
-    if (status == IoStatus::kWouldBlock) break;
+    if (status == IoStatus::kWouldBlock) {
+      stalled = budget == kReadBudget;
+      break;
+    }
     if (status == IoStatus::kEof || n == 0) {
       eof = true;
       break;
     }
-    last_rx_ms_.store(steady_now_ms());
+    last_rx_ms_ = steady_now_ms();
     obs::metrics().net_bytes_in.add(n);
     budget -= n;
     try {
@@ -1103,7 +863,8 @@ void Server::EventConn::handle_readable(IoLoop& loop) {
     }
   }
   update_interest(loop);
-  if (schedule) server_.submit_worker(self());
+  if (schedule) server_.submit_worker(shared_from_this());
+  return stalled;
 }
 
 void Server::EventConn::drain_inbox() {
@@ -1156,12 +917,14 @@ void Server::EventConn::finalize_teardown() {
     const std::lock_guard lock(out_mutex_);
     close_after_flush_ = true;
   }
-  loop_->request_flush(self());
+  loop_->request_flush(shared_from_this());
 }
 
-void Server::EventConn::flush(IoLoop& loop) {
-  if (completed_.load() || aborted_.load()) return;
+bool Server::EventConn::flush(IoLoop& loop) {
+  if (completed_.load() || aborted_.load()) return false;
   bool peer_gone = false;
+  bool stalled = false;
+  bool moved = false;
   bool drained_to_close = false;
   std::size_t frames_flushed = 0;
   auto& m = obs::metrics();
@@ -1201,11 +964,15 @@ void Server::EventConn::flush(IoLoop& loop) {
     }
     std::size_t n = 0;
     const auto status = conn_->try_write(chunk, n);
-    if (status == IoStatus::kWouldBlock) break;
+    if (status == IoStatus::kWouldBlock) {
+      stalled = !moved;
+      break;
+    }
     if (status == IoStatus::kEof) {
       peer_gone = true;
       break;
     }
+    moved = true;
     inflight_off_ += n;
     m.net_bytes_out.add(n);
     if (inflight_off_ == total) {
@@ -1219,7 +986,7 @@ void Server::EventConn::flush(IoLoop& loop) {
   if (peer_gone) {
     inflight_.reset();
     abort_connection();
-    return;
+    return false;
   }
   want_write_ = inflight_.has_value();
   update_interest(loop);
@@ -1229,52 +996,65 @@ void Server::EventConn::flush(IoLoop& loop) {
     conn_->shutdown_write();
     completed_.store(true);
   }
+  return stalled;
 }
 
 void Server::EventConn::update_interest(IoLoop& loop) {
   if (done()) return;  // retirement deregisters
-  const bool want_read = !read_done_ && !stop_reading_.load();
-  if (reg_valid_ && want_read == reg_read_ && want_write_ == reg_write_) return;
+  const bool want_read = !read_done_ && !stop_reading_.load() && read_backoff_until_ == 0;
+  const bool want_write = want_write_ && write_backoff_until_ == 0;
+  if (reg_valid_ && want_read == reg_read_ && want_write == reg_write_) return;
   reg_valid_ = true;
   reg_read_ = want_read;
-  reg_write_ = want_write_;
+  reg_write_ = want_write;
   auto& poller = loop.poller();
   if (pi_.read_fd == pi_.write_fd) {
     // One duplex fd (TCP): a single registration carries both interests.
-    if (!want_read && !want_write_) {
+    if (!want_read && !want_write) {
       poller.remove(pi_.read_fd);
     } else {
-      poller.set(pi_.read_fd, token_base_, want_read, want_write_);
+      poller.set(pi_.read_fd, token_base_, want_read, want_write);
     }
   } else {
     // Split signal fds (loopback): each is an eventfd that becomes
     // READABLE when its direction is ready, so both register read-side.
     // set() with no interest deregisters.
     poller.set(pi_.read_fd, token_base_, want_read, false);
-    poller.set(pi_.write_fd, token_base_ | 1, want_write_, false);
+    poller.set(pi_.write_fd, token_base_ | 1, want_write, false);
   }
+}
+
+void Server::EventConn::backoff(IoLoop& loop, bool read) {
+  (read ? read_backoff_until_ : write_backoff_until_) = steady_now_ms() + kStallBackoffMs;
+  update_interest(loop);
 }
 
 std::uint64_t Server::EventConn::next_deadline() const {
   std::uint64_t due = 0;
+  const auto sooner = [&due](std::uint64_t at) {
+    if (at != 0 && (due == 0 || at < due)) due = at;
+  };
   const bool hello = hello_passed_.load();
   if (!hello && server_.config_.hello_timeout_ms > 0 && !read_done_) {
-    due = adopt_ms_ + server_.config_.hello_timeout_ms;
+    sooner(adopt_ms_ + server_.config_.hello_timeout_ms);
   }
   if (hello && keepalive_enabled()) {
-    const std::uint64_t keepalive_due =
-        ping_outstanding_ ? ping_sent_ms_ + server_.config_.keepalive_timeout_ms
-                          : last_rx_ms_.load() + server_.config_.keepalive_interval_ms;
-    due = due == 0 ? keepalive_due : std::min(due, keepalive_due);
+    sooner(ping_outstanding_ ? ping_sent_ms_ + server_.config_.keepalive_timeout_ms
+                             : last_rx_ms_ + server_.config_.keepalive_interval_ms);
   }
+  sooner(read_backoff_until_);
+  sooner(write_backoff_until_);
   return due;
 }
 
 void Server::EventConn::on_deadline(IoLoop& loop, std::uint64_t now) {
+  if (read_backoff_until_ != 0 && now >= read_backoff_until_) read_backoff_until_ = 0;
+  if (write_backoff_until_ != 0 && now >= write_backoff_until_) write_backoff_until_ = 0;
+  update_interest(loop);
   if (!hello_passed_.load() && server_.config_.hello_timeout_ms > 0 && !read_done_ &&
       now >= adopt_ms_ + server_.config_.hello_timeout_ms) {
-    // Hello deadline: same observable outcome as the threaded read
-    // timeout — stop reading, flush anything queued, half-close.
+    // Hello deadline: stop reading, flush anything queued (an error, or
+    // nothing), half-close.
     read_done_ = true;
     bool schedule = false;
     {
@@ -1286,13 +1066,13 @@ void Server::EventConn::on_deadline(IoLoop& loop, std::uint64_t now) {
       }
     }
     update_interest(loop);
-    if (schedule) server_.submit_worker(self());
+    if (schedule) server_.submit_worker(shared_from_this());
   }
   if (hello_passed_.load() && keepalive_enabled()) keepalive_check(now);
 }
 
 void Server::EventConn::keepalive_check(std::uint64_t now) {
-  const auto last_rx = last_rx_ms_.load();
+  const auto last_rx = last_rx_ms_;
   if (ping_outstanding_) {
     if (last_rx >= ping_sent_ms_) {
       // Anything inbound since the probe proves the peer is alive.
@@ -1311,8 +1091,8 @@ void Server::EventConn::keepalive_check(std::uint64_t now) {
   ping_sent_ms_ = now;
   server_.stats_.keepalive_probes.fetch_add(1);
   obs::metrics().net_keepalive_probes.add(1);
-  // Unlike the threaded writer, the probe goes through the queue: the loop
-  // owns the socket and a flush is already the only writer.
+  // The probe goes through the queue: the loop owns the transport and a
+  // flush is its only writer.
   enqueue({api::encode_ping({++ping_nonce_}), nullptr});
 }
 
@@ -1321,29 +1101,17 @@ void Server::EventConn::keepalive_check(std::uint64_t now) {
 Server::Server(api::Service& service, std::shared_ptr<Listener> listener,
                ServerConfig config)
     : service_(service), listener_(std::move(listener)), config_(std::move(config)) {
-  if (config_.mode == ServeMode::kEventLoop) {
-    const auto loops = std::max<std::size_t>(1, config_.io_threads);
-    loops_.reserve(loops);
-    for (std::size_t i = 0; i < loops; ++i) {
-      loops_.push_back(std::make_unique<IoLoop>(*this, config_.poller_backend));
-    }
-    if (config_.worker_threads > 0) {
-      workers_ = std::make_unique<WorkerPool>(config_.worker_threads);
-    }
+  const auto loops = std::max<std::size_t>(1, config_.io_threads);
+  loops_.reserve(loops);
+  for (std::size_t i = 0; i < loops; ++i) {
+    loops_.push_back(std::make_unique<IoLoop>(*this, config_.poller_backend));
+  }
+  if (config_.worker_threads > 0) {
+    workers_ = std::make_unique<WorkerPool>(config_.worker_threads);
   }
   conns_collector_ = obs::Registry::global().add_collector(
-      "bgpcu_net_open_connections", "Connections not yet torn down", {}, [this] {
-        // No reap here: a scrape must never join connection threads.
-        std::size_t live = 0;
-        {
-          const std::lock_guard lock(conns_mutex_);
-          for (const auto& handler : conns_) {
-            if (!handler->done()) ++live;
-          }
-        }
-        for (const auto& loop : loops_) live += loop->live();
-        return static_cast<double>(live);
-      });
+      "bgpcu_net_open_connections", "Connections not yet torn down", {},
+      [this] { return static_cast<double>(connection_count()); });
 }
 
 Server::~Server() { stop(); }
@@ -1369,14 +1137,17 @@ void Server::accept_loop() {
       continue;
     }
     if (!conn) break;
-    reap_finished();
     if (stopping_.load()) break;
-    std::size_t live = 0;
-    {
-      const std::lock_guard lock(conns_mutex_);
-      live = conns_.size();
+    const auto pi = conn->poll_info();
+    if (!pi.pollable()) {
+      // No readiness fds (a loopback pipe whose eventfds could not be
+      // created): the event loop cannot serve it, so it is turned away.
+      stats_.connections_rejected.fetch_add(1);
+      obs::metrics().net_connections_rejected.add(1);
+      conn->close();
+      continue;
     }
-    for (const auto& loop : loops_) live += loop->live();
+    const auto live = connection_count();
     const bool reject = live >= config_.max_connections;
     if (reject) {
       stats_.connections_rejected.fetch_add(1);
@@ -1397,26 +1168,13 @@ void Server::accept_loop() {
       stats_.connections_accepted.fetch_add(1);
       obs::metrics().net_connections_accepted.add(1);
     }
-    // Rejected connections (within the margin) run through a normal handler
-    // too — it answers the first frame with kServerBusy and tears down — so
-    // the error is flushed and joined like any other connection.
-    PollInfo pi;
-    const bool use_event = config_.mode == ServeMode::kEventLoop && !loops_.empty() &&
-                           (pi = conn->poll_info()).pollable();
-    if (use_event) {
-      auto& loop = *loops_[next_loop_++ % loops_.size()];
-      const auto token_base = next_conn_id_.fetch_add(1) << 1;
-      loop.adopt(std::make_shared<EventConn>(*this, std::move(conn), reject, pi,
-                                             token_base, &loop));
-    } else {
-      // Non-pollable transport (or legacy mode): two threads, same protocol.
-      auto handler = std::make_shared<ThreadedConnHandler>(*this, std::move(conn), reject);
-      {
-        const std::lock_guard lock(conns_mutex_);
-        conns_.push_back(handler);
-      }
-      handler->start();
-    }
+    // Rejected connections (within the margin) run through a normal
+    // connection too — it answers the first frame with kServerBusy and
+    // tears down — so the error is flushed like any other output.
+    auto& loop = *loops_[next_loop_++ % loops_.size()];
+    const auto token_base = next_conn_id_.fetch_add(1) << 1;
+    loop.adopt(
+        std::make_shared<EventConn>(*this, std::move(conn), reject, pi, token_base, &loop));
   }
 }
 
@@ -1430,32 +1188,10 @@ void Server::submit_worker(std::shared_ptr<EventConn> conn) {
   }
 }
 
-void Server::reap_finished() {
-  std::vector<std::shared_ptr<ConnHandler>> finished;
-  {
-    const std::lock_guard lock(conns_mutex_);
-    for (auto it = conns_.begin(); it != conns_.end();) {
-      if ((*it)->done()) {
-        finished.push_back(std::move(*it));
-        it = conns_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-  for (const auto& handler : finished) handler->join();
-}
-
 void Server::stop() {
   if (!started_.load() || stopping_.exchange(true)) return;
   listener_->close();
   if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::shared_ptr<ConnHandler>> conns;
-  {
-    const std::lock_guard lock(conns_mutex_);
-    conns.swap(conns_);
-  }
-  for (const auto& handler : conns) handler->abort_connection();
   for (auto& loop : loops_) loop->stop();
   for (auto& loop : loops_) loop->join();
   // Workers drain before the leftover sweep: any queued finalize (which
@@ -1468,7 +1204,6 @@ void Server::stop() {
       conn->release_subscriptions();
     }
   }
-  for (const auto& handler : conns) handler->join();
 }
 
 ServerStats Server::stats() const {
@@ -1488,19 +1223,8 @@ ServerStats Server::stats() const {
   return out;
 }
 
-std::size_t Server::connection_count() {
-  // Doubles as a reap point: the accept loop only reaps when a new
-  // connection arrives, so without this a quiet listener would keep
-  // finished threaded handlers (and their exited-but-unjoined threads)
-  // around indefinitely. The daemon polls this every epoch.
-  reap_finished();
+std::size_t Server::connection_count() const {
   std::size_t live = 0;
-  {
-    const std::lock_guard lock(conns_mutex_);
-    for (const auto& handler : conns_) {
-      if (!handler->done()) ++live;
-    }
-  }
   for (const auto& loop : loops_) live += loop->live();
   return live;
 }

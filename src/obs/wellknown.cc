@@ -96,8 +96,9 @@ Metrics& metrics() {
         // net
         .net_connections_accepted =
             r.counter("bgpcu_net_connections_accepted_total", "Connections accepted"),
-        .net_connections_rejected = r.counter("bgpcu_net_connections_rejected_total",
-                                              "Connections turned away at the limit"),
+        .net_connections_rejected =
+            r.counter("bgpcu_net_connections_rejected_total",
+                      "Connections turned away at the limit or as unpollable"),
         .net_auth_failures =
             r.counter("bgpcu_net_auth_failures_total", "Hello frames with a bad token"),
         .net_frames_received =

@@ -1,7 +1,10 @@
 // Chaos conformance suite (ctest label: chaos): the protocol stack under
-// deterministic fault-injection schedules. Cuts swept across every byte
-// offset of the handshake and query exchange, stalled writers and slow
-// readers, and the tentpole acceptance property — a ResilientClient driven
+// deterministic fault-injection schedules. The server end of each faulty
+// link is served by the production event loop (fault wrappers are
+// pollable), registered once per poller backend. Cuts swept across every
+// byte offset of the handshake and query exchange, stalled writers and slow
+// readers — including a stalled peer sharing one IO thread with a healthy
+// subscriber — and the acceptance property: a ResilientClient driven
 // through dozens of injected disconnects (including horizon-miss snapshot
 // re-syncs) must deliver the exact epoch -> class-delta sequence an
 // uninterrupted subscriber would see, reproducibly across fault-plan seeds.
@@ -25,6 +28,7 @@
 #include "net/loopback.h"
 #include "net/resilient.h"
 #include "net/server.h"
+#include "obs/wellknown.h"
 
 namespace bgpcu::net {
 namespace {
@@ -190,6 +194,53 @@ TEST(Chaos, StalledServerWriterDeliversEveryEventWithoutBlockingPublish) {
     EXPECT_EQ(event->delta.epoch, e);
     EXPECT_EQ(event->delta.changes, reference[e].changes);
   }
+}
+
+TEST(Chaos, StalledPeerDoesNotDelayAHealthySubscriberOnTheSameLoop) {
+  // One IO thread serves both connections. The first one's writes stall for
+  // 2 s crossing byte 40, inside its second event frame (the welcome and
+  // the subscribe ack take 18 bytes, events 13 each); the second one shares the
+  // loop and must get every event and answer promptly regardless. The loop
+  // may neither sleep out the stall (which would delay the healthy peer)
+  // nor spin on the stalled peer's ready-but-withheld fd.
+  constexpr auto kStall = 2000ms;
+  ChaosHarness harness(
+      {.stream = {.window_epochs = 1}},
+      [](std::size_t i) { return i == 0 ? FaultPlan::stall_write_at(40, kStall) : FaultPlan{}; },
+      {.io_threads = 1, .worker_threads = 1});
+  Client stalled(harness.inner->connect());
+  (void)stalled.subscribe({});
+  Client healthy(harness.inner->connect());
+  (void)healthy.subscribe({});
+  ASSERT_TRUE(eventually([&] { return harness.service.subscription_count() == 2; }));
+
+  const auto wakeups_before = obs::metrics().net_fanout_wakeups.value();
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<api::EpochDelta> reference;
+  for (stream::Epoch e = 0; e < 6; ++e) {
+    reference.push_back(harness.publish_next());
+    const auto event = healthy.next_event();
+    ASSERT_TRUE(event.has_value()) << "healthy subscriber starved at epoch " << e;
+    EXPECT_EQ(event->delta.epoch, e);
+    EXPECT_EQ(event->delta.changes, reference[e].changes);
+  }
+  EXPECT_TRUE(healthy.query({.kind = api::QueryKind::kStats}).stats.has_value());
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kStall / 2)
+      << "the healthy peer waited on its loop-mate's stall";
+
+  // The stalled peer gets the whole sequence once its stall has run out.
+  for (stream::Epoch e = 0; e < 6; ++e) {
+    const auto event = stalled.next_event();
+    ASSERT_TRUE(event.has_value()) << "event " << e << " lost behind the stall";
+    EXPECT_EQ(event->delta.epoch, e);
+    EXPECT_EQ(event->delta.changes, reference[e].changes);
+  }
+  EXPECT_GE(std::chrono::steady_clock::now() - start, kStall - 10ms)
+      << "the stall never fired on the event loop";
+  // Roughly one wakeup per millisecond of stall backs the stalled direction
+  // off; a loop spinning on the ready fd would wake orders of magnitude more.
+  EXPECT_LT(obs::metrics().net_fanout_wakeups.value() - wakeups_before, 20000u)
+      << "the IO loop spun on the stalled connection";
 }
 
 TEST(Chaos, SlowReaderStillReassemblesEveryFrameIntact) {

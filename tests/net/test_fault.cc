@@ -1,11 +1,15 @@
 // Unit tests for the deterministic fault-injection layer (net/fault.h):
-// cut/stall/short-write semantics over real loopback pipes, byte-offset
-// accounting, seeded-plan reproducibility, and the per-accept planner.
+// cut/stall/short-write semantics over real loopback pipes, through both
+// the blocking calls and the nonblocking surface the event loop drives,
+// byte-offset accounting, seeded-plan reproducibility, and the per-accept
+// planner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -153,6 +157,89 @@ TEST(FaultPlan, EmptyPlanPassesBytesThroughUntouched) {
   ASSERT_TRUE(faulty->write_all(bytes(100, 0x11)));
   faulty->shutdown_write();
   EXPECT_EQ(drain(*server), bytes(100, 0x11));
+}
+
+// ------------------------------------------------- nonblocking surface --
+
+TEST(FaultPlanNonblocking, PollInfoForwardsTheInnerConnectionsFds) {
+  auto [client, server] = make_loopback_pair();
+  const auto inner = client->poll_info();
+  ASSERT_TRUE(inner.pollable());
+  auto faulty = wrap_with_faults(std::move(client), FaultPlan::cut_write_at(7));
+  EXPECT_EQ(faulty->poll_info().read_fd, inner.read_fd);
+  EXPECT_EQ(faulty->poll_info().write_fd, inner.write_fd);
+}
+
+TEST(FaultPlanNonblocking, CutWriteLetsExactlyTheBudgetThroughTryWrite) {
+  auto [client, server] = make_loopback_pair();
+  auto faulty = wrap_with_faults(std::move(client), FaultPlan::cut_write_at(7));
+  const auto data = bytes(10);
+  std::size_t n = 0;
+  ASSERT_EQ(faulty->try_write(data, n), IoStatus::kOk);
+  EXPECT_EQ(n, 7u);
+  // The link is dead behind the budget, in both directions.
+  EXPECT_EQ(faulty->try_write(data, n), IoStatus::kEof);
+  EXPECT_EQ(n, 0u);
+  std::vector<std::uint8_t> buf(4);
+  EXPECT_EQ(faulty->try_read(buf, n), IoStatus::kEof);
+  EXPECT_EQ(drain(*server).size(), 7u);
+}
+
+TEST(FaultPlanNonblocking, CutReadLetsExactlyTheBudgetThroughTryRead) {
+  auto [client, server] = make_loopback_pair();
+  ASSERT_TRUE(server->write_all(bytes(32)));
+  auto faulty = wrap_with_faults(std::move(client), FaultPlan::cut_read_at(5));
+  std::vector<std::uint8_t> buf(64);
+  std::size_t n = 0;
+  ASSERT_EQ(faulty->try_read(buf, n), IoStatus::kOk);
+  EXPECT_EQ(n, 5u);
+  EXPECT_EQ(faulty->try_read(buf, n), IoStatus::kEof);
+  EXPECT_EQ(n, 0u);
+  EXPECT_EQ(faulty->try_write(bytes(1), n), IoStatus::kEof);
+}
+
+TEST(FaultPlanNonblocking, ShortWritesCapEachTryWriteAtTheChunk) {
+  auto [client, server] = make_loopback_pair();
+  auto faulty = wrap_with_faults(std::move(client), FaultPlan::short_writes(3));
+  const auto data = bytes(10, 0x5A);
+  std::size_t offset = 0;
+  while (offset < data.size()) {
+    std::size_t n = 0;
+    ASSERT_EQ(faulty->try_write(std::span(data).subspan(offset), n), IoStatus::kOk);
+    EXPECT_LE(n, 3u);
+    EXPECT_EQ(n, std::min<std::size_t>(3, data.size() - offset));
+    offset += n;
+  }
+  faulty->shutdown_write();
+  EXPECT_EQ(drain(*server), data);
+}
+
+TEST(FaultPlanNonblocking, StallWouldBlockUntilItsDeadlineWithoutSleeping) {
+  auto [client, server] = make_loopback_pair();
+  auto faulty = wrap_with_faults(std::move(client), FaultPlan::stall_write_at(4, 50ms));
+  const auto data = bytes(8);
+  std::size_t n = 0;
+
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(faulty->try_write(data, n), IoStatus::kWouldBlock);
+  EXPECT_EQ(n, 0u);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 40ms)
+      << "a nonblocking call must not sleep out the stall";
+
+  // Retries keep reporting kWouldBlock until the deadline, then proceed.
+  IoStatus status = IoStatus::kWouldBlock;
+  while (status == IoStatus::kWouldBlock) {
+    std::this_thread::sleep_for(1ms);
+    status = faulty->try_write(data, n);
+  }
+  EXPECT_EQ(status, IoStatus::kOk);
+  EXPECT_EQ(n, data.size());
+  EXPECT_GE(std::chrono::steady_clock::now() - start, 50ms);
+
+  // The stall fired once; later writes go straight through.
+  EXPECT_EQ(faulty->try_write(data, n), IoStatus::kOk);
+  faulty->shutdown_write();
+  EXPECT_EQ(drain(*server).size(), 16u);
 }
 
 TEST(FaultyListener, PlannerAssignsAPlanPerAcceptIndex) {

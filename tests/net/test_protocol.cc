@@ -6,6 +6,7 @@
 // slow-subscriber backpressure, half-close, and the connection limit.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -466,10 +467,11 @@ TEST(NetProtocol, DisconnectMidSubscriptionCleansUpServerSide) {
 }
 
 TEST(NetProtocol, SlowSubscriberIsDisconnectedWithoutStallingPublish) {
-  // Tiny pipes + a 4-frame queue: a subscriber that never reads overflows
-  // almost immediately. The publisher must never block on it, and a
-  // well-behaved subscriber on another connection must see every event.
-  Harness harness({.write_queue_limit = 4}, /*pipe_capacity=*/64);
+  // Tiny pipes + a 48-byte queue (under four of this test's 13-byte event
+  // frames): a subscriber that never reads overflows almost immediately.
+  // The publisher must never block on it, and a well-behaved subscriber on
+  // another connection must see every event.
+  Harness harness({.write_queue_bytes_limit = 48}, /*pipe_capacity=*/64);
 
   auto slow = harness.listener->connect();  // raw: we control (don't do) reads
   ASSERT_TRUE(slow->write_all(api::encode_hello({api::kProtocolVersion, ""})));
@@ -499,10 +501,8 @@ TEST(NetProtocol, SlowSubscriberIsDisconnectedWithoutStallingPublish) {
 TEST(NetProtocol, ByteBoundCatchesSlowSubscriberThatFrameCountMisses) {
   // Regression: the write queue was originally bounded only by frame COUNT,
   // so a handful of multi-KB event frames sat under the limit while pinning
-  // unbounded memory. The byte bound must fire even when the frame count
-  // stays far below its (deliberately huge here) limit.
-  Harness harness({.write_queue_limit = 1024, .write_queue_bytes_limit = 2048},
-                  /*pipe_capacity=*/64);
+  // unbounded memory. The byte bound must fire after only a few frames.
+  Harness harness({.write_queue_bytes_limit = 2048}, /*pipe_capacity=*/64);
 
   auto slow = harness.listener->connect();  // raw: we control (don't do) reads
   ASSERT_TRUE(slow->write_all(api::encode_hello({api::kProtocolVersion, ""})));
@@ -513,7 +513,7 @@ TEST(NetProtocol, ByteBoundCatchesSlowSubscriberThatFrameCountMisses) {
   EXPECT_TRUE(eventually([&] { return harness.service.subscription_count() == 2; }));
 
   // Each epoch flips hundreds of ASNs, so every event frame is large; a few
-  // of them queued unread cross the byte bound long before 1024 frames.
+  // of them queued unread cross the byte bound.
   for (stream::Epoch e = 0; e < 12; ++e) {
     if (e > 0) (void)harness.service.advance_epoch();
     core::Dataset batch;
@@ -573,6 +573,74 @@ TEST(NetProtocol, SilentConnectionIsDroppedAtTheHelloDeadline) {
   auto client = harness.client();
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   EXPECT_EQ(client.query({.kind = api::QueryKind::kStats}).stats->epoch, 0u);
+}
+
+/// A transport with no readiness fds (what a loopback pipe reports when its
+/// eventfds cannot be created): the event loop has no way to serve it.
+class UnpollableConnection final : public Connection {
+ public:
+  explicit UnpollableConnection(std::shared_ptr<std::atomic<bool>> closed)
+      : closed_(std::move(closed)) {}
+  std::size_t read_some(std::span<std::uint8_t>) override { return 0; }
+  void set_read_timeout(std::chrono::milliseconds) override {}
+  bool write_all(std::span<const std::uint8_t>) override { return false; }
+  void shutdown_write() override {}
+  void close() override { closed_->store(true); }
+  [[nodiscard]] std::string peer_name() const override { return "unpollable"; }
+  [[nodiscard]] PollInfo poll_info() const override { return {}; }
+  IoStatus try_read(std::span<std::uint8_t>, std::size_t& n) override {
+    n = 0;
+    return IoStatus::kEof;
+  }
+  IoStatus try_write(std::span<const std::uint8_t>, std::size_t& n) override {
+    n = 0;
+    return IoStatus::kEof;
+  }
+
+ private:
+  std::shared_ptr<std::atomic<bool>> closed_;
+};
+
+/// Hands out one UnpollableConnection, then whatever `inner` accepts.
+class UnpollableFirstListener final : public Listener {
+ public:
+  UnpollableFirstListener(std::shared_ptr<LoopbackListener> inner,
+                          std::shared_ptr<std::atomic<bool>> closed)
+      : inner_(std::move(inner)), closed_(std::move(closed)) {}
+  std::unique_ptr<Connection> accept() override {
+    if (!handed_out_.exchange(true)) return std::make_unique<UnpollableConnection>(closed_);
+    return inner_->accept();
+  }
+  void close() override { inner_->close(); }
+  [[nodiscard]] std::string name() const override { return "unpollable-first"; }
+
+ private:
+  std::shared_ptr<LoopbackListener> inner_;
+  std::shared_ptr<std::atomic<bool>> closed_;
+  std::atomic<bool> handed_out_{false};
+};
+
+TEST(NetProtocol, UnpollableConnectionIsClosedAndCountedAsRejected) {
+  api::Service service({.stream = {.window_epochs = 1}});
+  auto inner = std::make_shared<LoopbackListener>();
+  auto closed = std::make_shared<std::atomic<bool>>(false);
+  Server server(service, std::make_shared<UnpollableFirstListener>(inner, closed));
+  server.start();
+
+  EXPECT_TRUE(eventually([&] { return closed->load(); }))
+      << "the unpollable connection was never closed";
+  EXPECT_EQ(server.stats().connections_rejected, 1u);
+  EXPECT_EQ(server.stats().connections_accepted, 0u);
+  EXPECT_EQ(server.connection_count(), 0u);
+
+  // A healthy client behind it is served normally.
+  Client client(inner->connect());
+  EXPECT_EQ(client.welcome().protocol, api::kProtocolVersion);
+  EXPECT_TRUE(client.query({.kind = api::QueryKind::kStats}).stats.has_value());
+  EXPECT_EQ(server.stats().connections_accepted, 1u);
+  EXPECT_EQ(server.stats().connections_rejected, 1u);
+  client.close();
+  server.stop();
 }
 
 TEST(NetProtocol, ConnectionLimitTurnsExtraClientsAway) {
